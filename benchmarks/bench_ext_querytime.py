@@ -29,10 +29,8 @@ def _measure(length: int) -> tuple[float, float, int]:
     stream = zipf_stream(length, exponent=1.5, seed=17)
     cm = PersistentCountMin(width=1024, depth=5, delta=DELTA, seed=2)
     ams = PersistentAMS(width=1024, depth=5, delta=DELTA, seed=2)
-    from repro.engine import batch_ingest
-
-    batch_ingest(cm, stream)
-    batch_ingest(ams, stream)
+    for sketch in (cm, ams):
+        sketch.ingest_batch(stream.times, stream.items, stream.counts)
     items = [int(stream.items[i]) for i in range(0, length, length // 50)]
     s, t = length // 5, 4 * length // 5
 

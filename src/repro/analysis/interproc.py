@@ -32,9 +32,9 @@ helper wrappers that defeat the per-module rules:
   handles stored on ``self`` or handed to a resolvable helper are
   checked for cleanup where they end up.
 * **SL018** buffer-tier bypass: a call that feeds a sketch's
-  below-buffer apply layer (``_ingest`` / ``_ingest_batch`` /
-  ``_apply_batch``) from outside the dispatch module that owns the
-  update buffer — staged records would be reordered around it — and,
+  below-buffer apply layer (``_ingest`` / ``_ingest_batch``) from
+  outside the dispatch module that owns the update buffer — staged
+  records would be reordered around it — and,
   dually, a public sketch query/freeze method whose resolved call tree
   reads per-counter history (``value_at`` / ``export_arrays``) with no
   buffer-flushing verb anywhere on the path, which would serve answers
@@ -947,14 +947,12 @@ class UnpairedMappingRule(ProjectRule):
         )
 
 
-#: Below-buffer apply verbs: the serial-or-pool dispatch layer the
-#: update buffer stages in front of.  Calling one directly slips a
+#: Below-buffer apply verbs: the batch plan the update buffer stages
+#: in front of.  Calling one directly slips a
 #: record stream underneath whatever the buffer still holds.
 _BUFFER_BYPASS_VERBS = {
     "_ingest",
     "_ingest_batch",
-    "_ingest_batch_via_pool",
-    "_apply_batch",
 }
 
 #: The module that owns the buffer tier: absorption, flush and the
@@ -963,14 +961,12 @@ _BUFFER_BYPASS_VERBS = {
 _BUFFER_DISPATCH_MODULES = {"repro.core.base"}
 
 #: Call names whose execution flushes the buffer tier before state is
-#: read: the flush itself, the sync funnel every query passes through,
-#: and the drain/finalize verbs that call into it.
+#: read: the flush itself, a sync funnel queries pass through, and the
+#: finalize verb that calls into it.
 _FLUSH_VERBS = {
     "flush_buffer",
     "flush_buffers",
     "_ensure_synced",
-    "detach_workers",
-    "drain_workers",
     "finalize",
 }
 
@@ -1087,7 +1083,7 @@ class BufferBypassRule(ProjectRule):
                 fn.node,
                 f"{fn.qualname}() reads per-counter history in {culprit} "
                 f"({route}) with no buffer flush on the path; call "
-                "_ensure_synced()/flush_buffer() before reading, or the "
+                "flush_buffer() before reading, or the "
                 "answer lags buffered updates",
             )
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.analysis import contracts
 from repro.core.buffer import DEFAULT_WINDOW, UpdateBuffer
-from repro.parallel import IngestError, WorkerPool, fork_available
 from repro.streams.model import Stream
 
 if TYPE_CHECKING:  # repro.engine depends on repro.core; import lazily.
@@ -26,49 +25,15 @@ if TYPE_CHECKING:  # repro.engine depends on repro.core; import lazily.
         FrozenHeavyHitters,
         FrozenPWCAMS,
     )
-    from repro.parallel.pool import WorkerHandler
 
 
 class PersistentSketch(ABC):
-    """Base class: clock management, bulk ingest, worker-pool lifecycle.
+    """Base class: clock management, bulk ingest, update-buffer tier."""
 
-    With ``workers > 1`` a sketch that supports partition-parallel
-    ingestion (:meth:`_parallel_supported`) routes every validated batch
-    to a pool of forked workers, each *owning* a fixed partition of the
-    sketch's independent state (hash rows, time shards, dyadic levels)
-    for the life of the pool.  Worker state is merged back lazily: any
-    query, freeze, serialization or scalar update first drains the pool
-    (:meth:`_ensure_synced` / :meth:`detach_workers`), so callers never
-    observe a half-merged sketch and parallel output stays bit-identical
-    to serial.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self) -> None:
         self._clock = 0
-        self._workers = int(workers)
-        self._pool: WorkerPool | None = None
-        self._pool_stale = False
-        self._pool_broken = False
         self._buffer: UpdateBuffer | None = None
         self._buffer_flushing = False
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool width used for parallel batch plans (1 = serial)."""
-        return self._workers
-
-    def set_workers(self, workers: int) -> None:
-        """Change the pool width; takes effect on the next batch.
-
-        Drains and retires any live pool first, so resizing never loses
-        updates and is safe at any point between batches.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.detach_workers()
-        self._workers = int(workers)
 
     @property
     def now(self) -> int:
@@ -105,11 +70,10 @@ class PersistentSketch(ABC):
     def flush_buffer(self) -> None:
         """Feed staged buffered updates through the normal batch plan.
 
-        Every query, freeze, serialization or worker drain funnels
-        through here (via :meth:`_ensure_synced`), so callers never
-        observe a sketch that lags its absorbed stream.  The sketch
-        clock is *not* rewound by the replayed tail: absorbed updates
-        already advanced it at absorption time.
+        Every query, freeze and serialization funnels through here, so
+        callers never observe a sketch that lags its absorbed stream.
+        The sketch clock is *not* rewound by the replayed tail: absorbed
+        updates already advanced it at absorption time.
         """
         buffer = self._buffer
         if buffer is None or self._buffer_flushing or len(buffer) == 0:
@@ -117,7 +81,7 @@ class PersistentSketch(ABC):
         self._buffer_flushing = True
         clock = self._clock
         try:
-            buffer.flush(self._apply_batch)
+            buffer.flush(self._ingest_batch)
         finally:
             self._buffer_flushing = False
             self._clock = clock
@@ -150,16 +114,11 @@ class PersistentSketch(ABC):
                 f"{self._clock}"
             )
         if self._buffer is not None:
-            # Buffered absorption touches no sketch state, so the pool
-            # can stay attached; the eventual flush goes through the
-            # same batch dispatch a direct batch would.
-            self._buffer.absorb_scalar(time, item, count, self._apply_batch)
+            # The eventual flush goes through the same batch plan a
+            # direct batch would.
+            self._buffer.absorb_scalar(time, item, count, self._ingest_batch)
             self._clock = time
             return
-        # Scalar updates mutate master-side state the forked workers can
-        # never see; merge and retire any pool first so the next parallel
-        # batch re-forks from the post-update state.
-        self.detach_workers()
         # Apply before advancing the clock: a rejected update (bad item,
         # turnstile violation, ...) must not leave the clock pointing at
         # a time no structure ever recorded, or every later default-
@@ -231,161 +190,24 @@ class PersistentSketch(ABC):
                     f"times[{bad}]={int(times[bad])}"
                 )
         if self._buffer is not None:
-            self._buffer.absorb(times, items, counts, self._apply_batch)
-        else:
-            self._apply_batch(times, items, counts)
-        self._clock = int(times[-1])
-
-    def _apply_batch(
-        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Dispatch one validated batch to the serial or pooled plan.
-
-        The single hand-off point below the buffer tier: unbuffered
-        batches come straight from :meth:`ingest_batch`, buffered ones
-        from :meth:`flush_buffer` — both take exactly this path, which
-        is what makes exact-mode buffering bit-identical to unbuffered
-        ingestion (chunk boundaries are invisible to the batch plan).
-        """
-        if (
-            self._workers > 1
-            and self._parallel_supported()
-            and fork_available()
-        ):
-            self._ingest_batch_via_pool(times, items, counts)
+            self._buffer.absorb(times, items, counts, self._ingest_batch)
         else:
             self._ingest_batch(times, items, counts)
-
-    # ------------------------------------------------------------------ #
-    # Worker-pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _parallel_supported(self) -> bool:
-        """Whether this sketch type has a partition-parallel batch plan."""
-        return False
-
-    def _worker_handler(self, index: int, nworkers: int) -> WorkerHandler:
-        """Build worker ``index``'s handler *inside* the forked child.
-
-        ``self`` here is the fork-inherited copy of the master, so the
-        handler can take ownership of its partition's live state without
-        any serialization cost.
-        """
-        raise NotImplementedError
-
-    def _ingest_batch_parallel(
-        self,
-        times: np.ndarray,
-        items: np.ndarray,
-        counts: np.ndarray,
-        pool: WorkerPool,
-    ) -> None:
-        """Partition one validated batch and feed it to the pool."""
-        raise NotImplementedError
-
-    def _install_worker_states(self, states: list[Any]) -> None:
-        """Merge every worker's collected partition state into master."""
-        raise NotImplementedError
-
-    def _prevalidate_batch(
-        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Content checks a serial plan performs before touching state.
-
-        Runs *before* the parallel dispatch's poison scope, so a batch
-        the serial plan would reject cleanly (bad item, expired shard)
-        is rejected just as cleanly in parallel — no worker sees it and
-        the sketch stays usable.
-        """
-
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(self._workers, self._worker_handler)
-        return self._pool
-
-    def _ingest_batch_via_pool(
-        self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
-    ) -> None:
-        if self._pool_broken:
-            raise IngestError(
-                "parallel workers previously failed with unmerged updates; "
-                "rebuild the sketch (e.g. recover from the WAL)"
-            )
-        self._prevalidate_batch(times, items, counts)
-        try:
-            pool = self._ensure_pool()
-            self._ingest_batch_parallel(times, items, counts, pool)
-        except BaseException:
-            # The batch may be half-applied across workers and the
-            # master's RNG/counter side may have advanced: poison the
-            # sketch so queries refuse stale answers.  A durable
-            # front-end (the runtime WAL) replays everything on recovery.
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close(terminate=True)
-            self._pool_broken = True
-            raise
-        self._pool_stale = True
-
-    def _ensure_synced(self) -> None:
-        """Flush the buffer tier and merge outstanding worker state.
-
-        The buffer flush comes first: a flush may itself feed the pool,
-        and the collect below then drains exactly what it produced.
-        After this returns, master state reflects every absorbed update
-        (the pool stays alive for the next batch).
-        """
-        self.flush_buffer()
-        if self._pool_broken:
-            raise IngestError(
-                "parallel workers died with unmerged updates; the sketch "
-                "refuses to serve stale answers — recover from the WAL"
-            )
-        if not self._pool_stale:
-            return
-        pool = self._pool
-        if pool is None or pool.closed:
-            self._pool_broken = True
-            raise IngestError(
-                "worker pool vanished with unmerged updates; recover "
-                "from the WAL"
-            )
-        try:
-            self._install_worker_states(pool.collect())
-        except BaseException:
-            self._pool = None
-            self._pool_broken = True
-            pool.close(terminate=True)
-            raise
-        self._pool_stale = False
-
-    def detach_workers(self) -> None:
-        """Merge worker state and retire the pool (re-forked on demand).
-
-        Required before any master-side mutation a forked worker cannot
-        observe: scalar updates, finalize, freeze, serialization, shard
-        expiry.  A no-op for serial sketches.
-        """
-        try:
-            self._ensure_synced()
-        finally:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close()
+        self._clock = int(times[-1])
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pipes and child processes cannot cross pickle; drain first so
-        # the pickled state is complete, then drop the pool itself.
-        self.detach_workers()
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        return state
+        # A pickled sketch carries its flushed state, never staged updates.
+        self.flush_buffer()
+        return dict(self.__dict__)
 
     def _ingest_batch(
         self, times: np.ndarray, items: np.ndarray, counts: np.ndarray
     ) -> None:
         """Apply one clock-validated batch; override with a columnar plan.
 
+        Unbuffered batches arrive from :meth:`ingest_batch`, buffered ones
+        from :meth:`flush_buffer`: one plan either way, which is what
+        keeps exact-mode buffering bit-identical to unbuffered ingestion.
         The fallback replays the batch through :meth:`_ingest` one record
         at a time, advancing the clock per record so nested sketches see
         exactly the sequence scalar :meth:`update` calls would produce.
@@ -419,17 +241,17 @@ class PersistentSketch(ABC):
         ``repro.engine`` depends on ``repro.core``, not the other way
         around).  The snapshot answers ``point`` / ``point_many`` /
         holistic queries bit-equal to the live path; see
-        :mod:`repro.engine.frozen`.  ``workers`` overrides the sketch's
-        pool width for table construction and ``point_many`` fan-out.
+        :mod:`repro.engine.frozen`.  ``workers`` sets the fork fan-out
+        for table construction and ``point_many``.
         """
         from repro.engine.frozen import freeze
 
         return freeze(self, workers=workers)
 
     def _resolve_window(self, s: float, t: float | None) -> tuple[float, float]:
-        # Every query funnels through here: merge any outstanding worker
-        # state first so answers never lag the ingested stream.
-        self._ensure_synced()
+        # Every query funnels through here: land any buffered updates
+        # first so answers never lag the ingested stream.
+        self.flush_buffer()
         if t is None:
             t = self._clock
         elif t > self._clock:

@@ -1,27 +1,18 @@
-"""Vectorized bulk engines: columnwise ingest and frozen query serving.
+"""Frozen query serving over finalized persistent sketches.
 
-The per-update path of the persistent sketches is dominated by Python
-interpreter overhead: ``d`` hash evaluations, ``d`` counter increments
-and ``d`` tracker feeds per update.  For a *materialized* stream all of
-that structure is known up front, so it can be computed columnwise with
-numpy — all bucket columns for the whole stream at once, then per-counter
-time-ordered feed groups — cutting ingest time by roughly an order of
-magnitude while producing **bit-identical sketches** for the
-deterministic schemes (asserted in ``tests/test_engine.py``).
-
-    from repro.engine import batch_ingest
-    sketch = PersistentCountMin(width=2048, depth=5, delta=25)
-    batch_ingest(sketch, stream)      # == sketch.ingest(stream), faster
-
-The read side is :mod:`repro.engine.frozen`: ``freeze(sketch)`` compiles
-a finalized sketch into an immutable columnar snapshot that answers
-``point`` / ``point_many`` / holistic queries bit-equal to the live path
-(asserted in ``tests/test_frozen.py``) via vectorized predecessor search.
+Ingestion is the sketches' own columnar batch plan
+(:meth:`~repro.core.base.PersistentSketch.ingest_batch`, bit-identical
+to a loop of scalar updates).  This package is the read side:
+:mod:`repro.engine.frozen`'s ``freeze(sketch)`` compiles a finalized
+sketch into an immutable columnar snapshot that answers ``point`` /
+``point_many`` / holistic queries bit-equal to the live path (asserted
+in ``tests/test_frozen.py``) via vectorized predecessor search, and
+:mod:`repro.engine.replay` applies WAL tails to a store during
+recovery.
 """
 
 from __future__ import annotations
 
-from repro.engine.batch import batch_hash_columns, batch_ingest
 from repro.engine.frozen import (
     FrozenAMS,
     FrozenCountMin,
@@ -36,8 +27,6 @@ from repro.engine.frozen import (
 )
 
 __all__ = [
-    "batch_ingest",
-    "batch_hash_columns",
     "freeze",
     "freeze_store",
     "FrozenCountMin",

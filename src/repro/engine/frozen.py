@@ -51,8 +51,7 @@ from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin
 from repro.core.pwc_ams import PWCAMS
 from repro import shm
-from repro.engine.batch import _batch_signs, batch_hash_columns
-from repro.parallel.pool import fork_available, parallel_map
+from repro.parallel import fork_available, parallel_map
 from repro.store.sharded import ShardedPersistentSketch
 
 #: Rank-key overflow guard: fall back to per-query bisects when
@@ -64,6 +63,20 @@ _KEY_LIMIT = 2**62
 _FANOUT_MIN = 4096
 
 Window = tuple[float, float]
+
+
+def batch_hash_columns(family, items: np.ndarray) -> np.ndarray:
+    """Per-row bucket columns for every item, shape ``(n, depth)``.
+
+    A transposed view over the family's vectorized
+    ``buckets_many(items) -> (depth, n)`` evaluation.
+    """
+    return family.buckets_many(np.asarray(items)).T
+
+
+def _batch_signs(family, items: np.ndarray) -> np.ndarray:
+    """Per-row signs for every item, shape ``(n, depth)``."""
+    return family.signs_many(np.asarray(items)).T
 
 
 def _fanout_point_many(
@@ -585,9 +598,7 @@ class FrozenCountMin:
         self, sketch: PersistentCountMin, workers: int | None = None
     ) -> None:
         sketch.finalize()
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
+        self.workers = 1 if workers is None else workers
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -665,10 +676,8 @@ class FrozenPWCAMS:
     """Frozen :class:`PWCAMS` snapshot (signed trackers)."""
 
     def __init__(self, sketch: PWCAMS, workers: int | None = None) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
-        sketch.detach_workers()
+        self.workers = 1 if workers is None else workers
+        sketch.flush_buffer()
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -736,10 +745,8 @@ class FrozenAMS:
     """Frozen :class:`PersistentAMS` snapshot (sampled history lists)."""
 
     def __init__(self, sketch: PersistentAMS, workers: int | None = None) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(sketch, "workers", 1)
-        )
-        sketch.detach_workers()
+        self.workers = 1 if workers is None else workers
+        sketch.flush_buffer()
         self.width = sketch.width
         self.depth = sketch.depth
         self.now = sketch.now
@@ -873,11 +880,9 @@ class FrozenHeavyHitters:
     def __init__(
         self, structure: PersistentHeavyHitters, workers: int | None = None
     ) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(structure, "workers", 1)
-        )
-        # Master-side finalize first: it drains any worker pool and
-        # flushes open PLA runs in every level, so the (idempotent)
+        self.workers = 1 if workers is None else workers
+        # Master-side finalize first: it flushes buffered updates and
+        # open PLA runs in every level, so the (idempotent)
         # re-finalize inside each forked child's FrozenCountMin build is
         # a no-op and child-side mutations never matter.
         structure.finalize()
@@ -971,10 +976,8 @@ class FrozenShardedSketch:
     def __init__(
         self, store: ShardedPersistentSketch, workers: int | None = None
     ) -> None:
-        self.workers = (
-            workers if workers is not None else getattr(store, "workers", 1)
-        )
-        store.detach_workers()
+        self.workers = 1 if workers is None else workers
+        store.flush_buffer()
         self.shard_length = store.shard_length
         self.now = store.now
         self.name = "frozen(sharded)"
@@ -1098,18 +1101,15 @@ def freeze(
 ):
     """Compile a live persistent sketch into a frozen columnar snapshot.
 
-    Finalizes the sketch (flushing open PLA runs, draining any worker
-    pool) and snapshots its histories as of ``sketch.now``.  The
+    Finalizes the sketch (flushing buffered updates and open PLA runs)
+    and snapshots its histories as of ``sketch.now``.  The
     returned object answers ``point`` / ``point_many`` /
     ``self_join_size`` (and, for the dyadic structure,
     ``heavy_hitters`` / ``window_mass``) with answers bit-equal to the
     live query path at a fraction of the cost.  ``workers`` sets the
     snapshot's fan-out width for table construction and large
-    ``point_many`` batches (default: the sketch's own pool width).
+    ``point_many`` batches (default 1: serial).
     """
-    detach = getattr(sketch, "detach_workers", None)
-    if callable(detach):
-        detach()
     if isinstance(sketch, PersistentCountMin):
         return FrozenCountMin(sketch, workers=workers)
     if isinstance(sketch, PWCAMS):
@@ -1215,12 +1215,12 @@ class FrozenStoreView:
 def freeze_store(store, workers: int | None = None) -> FrozenStoreView:
     """Freeze every stream of ``store`` into a :class:`FrozenStoreView`.
 
-    Drains any live worker pools first (freezing is a master-side read),
-    then compiles each stream's sketches via :func:`freeze`.  ``workers``
+    Flushes buffered updates first, then compiles each stream's sketches
+    via :func:`freeze`.  ``workers``
     sets the fan-out width used for table construction and large
     ``point_many`` batches.
     """
-    store.drain_workers(strict=False)
+    store.flush_buffers()
     return FrozenStoreView(store, workers=workers)
 
 

@@ -1,26 +1,41 @@
-"""WAL-tail replay into a :class:`~repro.store.SketchStore`.
+"""Same-stream grouping shared by live ingest and WAL-tail replay.
 
 Recovery must reproduce the exact state an uninterrupted run would
 have: the sampled AMS sketch draws from its serialized RNG state in
-offer order, so replay order matters bit-for-bit.  Since the columnar
-batch planners became bit-identical to scalar ingestion for every
-sketch type — including the sampled AMS, whose batch path pre-draws its
-Bernoulli acceptances from the same seeded generator in scalar order —
-replay applies each contiguous same-stream run through
-:meth:`~repro.store.store.SketchStore.update_batch` and stays exactly
-as deterministic as the record-by-record walk it replaces, at columnar
-speed.  WAL tails are bursty (long runs of records for one stream), so
-the grouping also amortizes the per-record facade dispatch.
+offer order, so replay order matters bit-for-bit.  The columnar batch
+planners are bit-identical to scalar ingestion for every sketch type —
+including the sampled AMS, whose batch path pre-draws its Bernoulli
+acceptances from the same seeded generator in scalar order — so both
+:meth:`~repro.runtime.IngestRuntime.ingest_batch` and recovery cut
+their records into contiguous same-stream runs with :func:`stream_runs`
+and apply each run through
+:meth:`~repro.store.store.SketchStore.update_batch`.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.store.store import SketchStore
+
+
+def stream_runs(
+    records: Iterable[tuple[str, int, int, int]],
+) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Cut ``(stream, item, count, time)`` records into same-stream runs.
+
+    Yields ``(stream, times, items, counts)`` per run of *consecutive*
+    records for one stream, in arrival order, as int64 columns.
+    """
+    for name, run_iter in groupby(records, key=lambda record: record[0]):
+        run = list(run_iter)
+        times = np.array([record[3] for record in run], dtype=np.int64)
+        items = np.array([record[1] for record in run], dtype=np.int64)
+        counts = np.array([record[2] for record in run], dtype=np.int64)
+        yield name, times, items, counts
 
 
 def replay_records(
@@ -35,11 +50,10 @@ def replay_records(
     WAL that violates it is corrupt and the error should surface.
     """
     applied = 0
-    for name, run_iter in groupby(records, key=lambda record: record["stream"]):
-        run = list(run_iter)
-        times = np.array([record["time"] for record in run], dtype=np.int64)
-        items = np.array([record["item"] for record in run], dtype=np.int64)
-        counts = np.array([record["count"] for record in run], dtype=np.int64)
+    for name, times, items, counts in stream_runs(
+        (record["stream"], record["item"], record["count"], record["time"])
+        for record in records
+    ):
         store.update_batch(name, times, items, counts)
-        applied += len(run)
+        applied += len(times)
     return applied

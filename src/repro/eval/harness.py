@@ -213,15 +213,14 @@ def build_paper_shape_cm(
     """Paper-shape (w=20000, d=7) PLA Count-Min, bulk-ingested (cached).
 
     The query-serving benchmark uses the paper's ephemeral shape rather
-    than the scaled-down default, so ingest goes through the columnwise
-    bulk engine (bit-identical to sequential ingest for PLA trackers).
+    than the scaled-down default, so ingest goes through the columnar
+    batch plan (bit-identical to sequential ingest).
     """
-    from repro.engine import batch_ingest
-
     sketch = PersistentCountMin(
         width=width, depth=depth, delta=delta, seed=BENCH_SEED
     )
-    batch_ingest(sketch, get_dataset(name, length))
+    stream = get_dataset(name, length)
+    sketch.ingest_batch(stream.times, stream.items, stream.counts)
     return sketch
 
 

@@ -41,13 +41,11 @@ from __future__ import annotations
 import json
 import re
 import shutil
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn
 
-import numpy as np
-
 from repro.analysis import contracts
+from repro.engine.replay import stream_runs
 from repro.io import SerializationError
 from repro.io.atomic import atomic_write_text
 from repro.runtime.faults import FaultPlan, SimulatedCrash
@@ -99,7 +97,6 @@ class IngestRuntime:
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
         applied_seq: int = 0,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -108,13 +105,11 @@ class IngestRuntime:
             raise ValueError("checkpoint_every must be >= 1")
         self.directory = Path(directory)
         self.store = store
-        if workers is not None:
-            store.set_workers(workers)
         if buffer_window is not None:
-            # Execution-layer knob, like ``workers``: the update buffer
-            # sits *below* the WAL (records are durable before they are
-            # absorbed), so buffered state never outruns durability and
-            # checkpoints flush it implicitly via the save drain.
+            # Execution-layer knob: the update buffer sits *below* the
+            # WAL (records are durable before they are absorbed), so
+            # buffered state never outruns durability and checkpoints
+            # flush it implicitly when each sketch is encoded.
             store.configure_buffer(window=buffer_window, mode=buffer_mode)
         self.policy = policy or IngestPolicy()
         self.checkpoint_every = checkpoint_every
@@ -151,7 +146,6 @@ class IngestRuntime:
         checkpoint_every: int = 1000,
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -180,7 +174,6 @@ class IngestRuntime:
             checkpoint_every=checkpoint_every,
             faults=faults,
             sleep=sleep,
-            workers=workers,
             buffer_window=buffer_window,
             buffer_mode=buffer_mode,
             probe=probe,
@@ -197,7 +190,6 @@ class IngestRuntime:
         checkpoint_every: int = 1000,
         faults: FaultPlan | None = None,
         sleep: Callable[[float], None] | None = None,
-        workers: int | None = None,
         buffer_window: int | None = None,
         buffer_mode: str = "exact",
         probe: Callable[[], bool] | None = None,
@@ -312,15 +304,14 @@ class IngestRuntime:
             faults=faults,
             sleep=sleep,
             applied_seq=last_seq,
-            # WAL replay above ran serially and *unbuffered* on the
-            # freshly-opened store; the pool width and buffer window only
-            # affect batches ingested from here on.  Unbuffered replay is
-            # deliberate: in exact mode flush boundaries are invisible so
-            # buffering would change nothing, and in coalesce mode the WAL
-            # holds the raw uncoalesced records — replaying them verbatim
-            # restores a history at least as accurate as the crashed
-            # run's, never a wider one.
-            workers=workers,
+            # WAL replay above ran *unbuffered* on the freshly-opened
+            # store; the buffer window only affects batches ingested
+            # from here on.  Unbuffered replay is deliberate: in exact
+            # mode flush boundaries are invisible so buffering would
+            # change nothing, and in coalesce mode the WAL holds the raw
+            # uncoalesced records — replaying them verbatim restores a
+            # history at least as accurate as the crashed run's, never a
+            # wider one.
             buffer_window=buffer_window,
             buffer_mode=buffer_mode,
             probe=probe,
@@ -360,19 +351,15 @@ class IngestRuntime:
         if runtime._since_checkpoint >= checkpoint_every:
             runtime.checkpoint()
         if publish_shared:
-            runtime.shared_frozen_view(workers=workers)
+            runtime.shared_frozen_view()
         return runtime
 
     def close(self) -> None:
         """Seal the WAL (no implicit checkpoint; state is already durable).
 
-        Worker pools are drained tolerantly: a poisoned pool is simply
-        released — its lost batch was durable in the WAL before dispatch,
-        so the next :meth:`recover` replays it.  A published shared view
-        segment is released too; attached readers stay valid until they
-        detach, but nothing remains in ``/dev/shm``.
+        A published shared view segment is released too; attached readers
+        stay valid until they detach, but nothing remains in ``/dev/shm``.
         """
-        self.store.drain_workers(strict=False)
         self.wal.close()
         if self._shared_cache is not None:
             self._shared_cache[1].release()
@@ -552,11 +539,7 @@ class IngestRuntime:
         if self.faults is not None:
             self.faults.after_batch_durable(first_ordinal)
         try:
-            for name, run_iter in groupby(pending, key=lambda rec: rec[0]):
-                run = list(run_iter)
-                times = np.array([rec[3] for rec in run], dtype=np.int64)
-                items = np.array([rec[1] for rec in run], dtype=np.int64)
-                counts = np.array([rec[2] for rec in run], dtype=np.int64)
+            for name, times, items, counts in stream_runs(pending):
                 self.store.update_batch(name, times, items, counts)
                 self._clocks[name] = int(times[-1])
         except Exception:
@@ -896,7 +879,7 @@ class IngestRuntime:
         """Buffer-backed checkpoint load: newest checkpoint -> shared view.
 
         The fast path for read-only serving processes: instead of
-        recovering a full runtime (WAL replay, contracts, worker pools),
+        recovering a full runtime (WAL replay, contracts),
         open the newest committed checkpoint under the existing
         atomic-write/fsck machinery, freeze it once, and publish the
         frozen view into a segment.  Returns ``(covered_seq, view,

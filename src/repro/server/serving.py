@@ -87,7 +87,7 @@ class ServingRuntime:
     serving routes still agree: checkpoint saves flush every sketch's
     buffer before encoding (so the snapshots a cutover freezes already
     contain every buffered update up to their sequence), and live reads
-    flush through ``_ensure_synced`` on query — frozen and live answers
+    flush through ``flush_buffer`` on query — frozen and live answers
     for the same horizon stay bit-equal in exact mode, and coalesce-mode
     divergence is bounded by the documented window mass
     (:mod:`repro.core.buffer`).
@@ -356,13 +356,13 @@ class ServingRuntime:
         ]
         view = None if mode == "live" else self._view
         frozen_clock = view.clock(stream) if view is not None else None
-        if frozen_clock is None:
-            frozen_idx: list[int] = []
-        else:
-            frozen_idx = [
-                i for i in range(n) if resolved[i][1] <= frozen_clock
-            ]
-        live_idx = [i for i in range(n) if i not in set(frozen_idx)]
+        frozen_idx: list[int] = []
+        live_idx: list[int] = []
+        for i, (_s, rt) in enumerate(resolved):
+            if frozen_clock is not None and rt <= frozen_clock:
+                frozen_idx.append(i)
+            else:
+                live_idx.append(i)
         if mode == "frozen" and live_idx:
             raise ValueError(
                 f"frozen view (clock {frozen_clock}) cannot serve "

@@ -1,8 +1,8 @@
 """Shared-memory buffer substrate: one mapped segment, many processes.
 
-Every multi-process layer of the repo — the row-partitioned ingest pool,
-frozen-view serving, checkpoint publication — moves data through the
-same primitive: a POSIX shared-memory segment
+Every multi-process layer of the repo — frozen-view serving, query
+workers, checkpoint publication — moves data through the same
+primitive: a POSIX shared-memory segment
 (:class:`multiprocessing.shared_memory.SharedMemory`) holding a small
 versioned header, a pickle (protocol 5) of an arbitrary object graph,
 and the graph's numpy buffers laid out out-of-band.  Writing costs one
@@ -124,7 +124,7 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 def _unlink_owned_at_exit() -> None:
     """Interpreter-exit safety net: unlink every still-owned segment.
 
-    Normal paths unlink explicitly (pool collect/close, serving cutover,
+    Normal paths unlink explicitly (serving cutover, query-worker close,
     runtime close); this catches an owner that exits through an
     unhandled exception.  Attached readers in other processes keep
     their mappings — unlink only removes the name.
@@ -144,9 +144,9 @@ def shm_available() -> bool:
     """Whether POSIX shared memory works on this platform.
 
     The probe also starts the stdlib resource tracker as a side effect,
-    which matters for lifecycle accounting: pools call this *before*
-    forking workers, so the whole process family inherits one tracker
-    (see :meth:`ShmSegment.attach`).
+    which matters for lifecycle accounting: the query-worker pool calls
+    this *before* forking, so the whole process family inherits one
+    tracker (see :meth:`ShmSegment.attach`).
     """
     global _SHM_PROBE
     if _SHM_PROBE is None:
@@ -157,7 +157,7 @@ def shm_available() -> bool:
             finally:
                 probe.unlink()
                 probe.close()
-        except Exception:  # sketchlint: disable=SL004,SL016 — capability probe; failure is the degrade signal (callers fall back to pipe transport) and is memoized, not lost
+        except Exception:  # sketchlint: disable=SL004,SL016 — capability probe; failure is the degrade signal (callers fall back to in-process serving) and is memoized, not lost
             _SHM_PROBE = False
     return _SHM_PROBE
 
@@ -224,7 +224,7 @@ class ShmSegment:
         ``unregister``; attachers never touch the registration, which
         is what keeps a dying reader from tearing the segment down
         under its siblings.  (:func:`shm_available`'s probe starts the
-        tracker before any pool forks, so the whole family shares it.)
+        tracker before any worker forks, so the whole family shares it.)
         """
         try:
             raw = _Mapping(name=name, create=False)
@@ -283,18 +283,6 @@ class ShmSegment:
             self._shm.unlink()
         except FileNotFoundError:
             pass  # already unlinked: double-cleanup is benign
-
-    def adopt(self) -> None:
-        """Take unlink ownership of an attached segment.
-
-        Used when lifecycle responsibility transfers across processes —
-        e.g. a pool worker writes its partition state into a segment and
-        hands the name to the master, which adopts it so exactly one
-        process (the master) unlinks.  Idempotent for owners.
-        """
-        if not self.owner:
-            self.owner = True
-            _register_owned(self)
 
     def release(self) -> None:
         """Owner teardown in one call: close the mapping and unlink."""
@@ -380,12 +368,12 @@ def _layout(segment: ShmSegment) -> tuple[int, list[int], int]:
     return payload_len, lengths, data_start
 
 
-def read_object(segment: ShmSegment, *, readonly: bool = True) -> Any:
+def read_object(segment: ShmSegment) -> Any:
     """Reconstruct the object written by :func:`write_object`.
 
-    Numpy arrays come back as zero-copy views over the mapped buffer —
-    read-only by default, so an attached reader cannot scribble on
-    state other processes share.  The views pin the segment's mapping:
+    Numpy arrays come back as read-only zero-copy views over the mapped
+    buffer, so an attached reader cannot scribble on state other
+    processes share.  The views pin the segment's mapping:
     ``segment.close()`` reports ``False`` until the caller drops them.
     """
     payload_len, lengths, data_start = _layout(segment)
@@ -396,12 +384,12 @@ def read_object(segment: ShmSegment, *, readonly: bool = True) -> Any:
     cursor = data_start
     for length in lengths:
         view = buf[cursor : cursor + length]
-        views.append(view.toreadonly() if readonly else view)
+        views.append(view.toreadonly())
         cursor = _align(cursor + length)
     return pickle.loads(payload, buffers=views)
 
 
-def read_attached(name: str, *, readonly: bool = True) -> tuple[Any, ShmSegment]:
+def read_attached(name: str) -> tuple[Any, ShmSegment]:
     """Attach to ``name`` and decode it: ``(object, segment)``.
 
     The returned segment must outlive every array view inside the
@@ -409,7 +397,7 @@ def read_attached(name: str, *, readonly: bool = True) -> tuple[Any, ShmSegment]
     """
     segment = ShmSegment.attach(name)
     try:
-        return read_object(segment, readonly=readonly), segment
+        return read_object(segment), segment
     except BaseException:
         segment.close()
         raise
@@ -432,41 +420,6 @@ def leaked_segments(prefix: str = NAME_PREFIX) -> list[str]:
     except OSError:  # sketchlint: disable=SL016 — no /dev/shm means no POSIX segments can exist, so "no leaks" is the truthful answer
         return []
     return sorted(entry for entry in entries if entry.startswith(prefix))
-
-
-def reap_segment(name: str) -> bool:
-    """Forcibly unlink segment ``name``, whoever created it.
-
-    The cleanup counterpart of :meth:`ShmSegment.adopt` for owners that
-    can no longer do it themselves: a pool master calls this over a dead
-    (kill -9'd) worker's segments.  Processes still attached keep valid
-    mappings.  Returns ``False`` when the name is already gone.
-    """
-    try:
-        raw = _Mapping(name=name, create=False)
-    except FileNotFoundError:
-        return False
-    try:
-        raw.unlink()
-    except FileNotFoundError:
-        return False  # raced another reaper: still cleaned up
-    finally:
-        raw.close()
-    return True
-
-
-def reap_pid_segments(pid: int, *, prefix: str = NAME_PREFIX) -> list[str]:
-    """Unlink every live segment created by process ``pid``.
-
-    Segment names embed the creator's pid, so a supervisor can sweep a
-    dead worker's leftovers by listing ``/dev/shm``.  Returns the names
-    reaped (useful for healing counters and leak assertions).
-    """
-    reaped = []
-    for name in leaked_segments(f"{prefix}-{pid}-"):
-        if reap_segment(name):
-            reaped.append(name)
-    return reaped
 
 
 def iter_owned() -> Iterator[ShmSegment]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,11 +90,6 @@ class SketchStore:
         typically wider than ``width``.
     seed:
         Store-wide hash seed; all joinable streams share it.
-    workers:
-        Worker-pool width for every sketch's parallel batch plans
-        (1 = serial).  An execution-layer knob, not part of the durable
-        state: it is not persisted by :meth:`save` — pass it again (or
-        call :meth:`set_workers`) after :meth:`open`.
     """
 
     def __init__(
@@ -102,15 +98,11 @@ class SketchStore:
         depth: int = 5,
         join_width: int = 4096,
         seed: int = 0,
-        workers: int = 1,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.width = width
         self.depth = depth
         self.join_width = join_width
         self.seed = seed
-        self.workers = int(workers)
         self._buffer_window: int | None = None
         self._buffer_mode = "exact"
         self._streams: dict[str, _StreamState] = {}
@@ -123,22 +115,14 @@ class SketchStore:
             if state.join_sketch is not None:
                 yield state.join_sketch
 
-    def set_workers(self, workers: int) -> None:
-        """Resize every sketch's worker pool (drains live pools first)."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        for sketch in self._sketches():
-            sketch.set_workers(workers)
-
     def configure_buffer(
         self, window: int | None, mode: str = "exact"
     ) -> None:
         """Enable/disable the two-stage update buffer on every sketch.
 
-        Like ``workers``, an execution-layer knob: not persisted by
-        :meth:`save` (which flushes first), so pass it again after
-        :meth:`open`.  Streams created later inherit the configuration.
+        An execution-layer knob: not persisted by :meth:`save` (which
+        flushes first), so pass it again after :meth:`open`.  Streams
+        created later inherit the configuration.
         See :mod:`repro.core.buffer` for the exact/coalesce semantics.
         """
         self._buffer_window = window
@@ -150,22 +134,6 @@ class SketchStore:
         """Flush every sketch's staged buffered updates."""
         for sketch in self._sketches():
             sketch.flush_buffer()
-
-    def drain_workers(self, strict: bool = True) -> None:
-        """Merge and retire every sketch's worker pool.
-
-        With ``strict=False`` a poisoned pool (workers died with
-        unmerged updates) is released without raising — shutdown-path
-        semantics, where the WAL already holds the truth.
-        """
-        from repro.parallel import IngestError
-
-        for sketch in self._sketches():
-            try:
-                sketch.detach_workers()
-            except IngestError:
-                if strict:
-                    raise
 
     # ------------------------------------------------------------------ #
     # Stream management
@@ -180,7 +148,6 @@ class SketchStore:
             depth=self.depth,
             delta=spec.delta,
             seed=self.seed,
-            workers=self.workers,
         )
         hh_sketch = (
             PersistentHeavyHitters(
@@ -189,7 +156,6 @@ class SketchStore:
                 depth=self.depth,
                 delta=spec.delta,
                 seed=self.seed + 1,
-                workers=self.workers,
             )
             if spec.heavy_hitters or spec.quantiles
             else None
@@ -201,8 +167,9 @@ class SketchStore:
                 delta=spec.delta,
                 seed=self.seed,  # shared: mandatory for cross-stream joins
                 independent_copies=2,
-                sampling_seed=hash(spec.name) & 0x7FFFFFFF,
-                workers=self.workers,
+                # A stable digest, not the salted built-in hash(): the
+                # sampled histories must not depend on PYTHONHASHSEED.
+                sampling_seed=zlib.crc32(spec.name.encode("utf-8")),
             )
             if spec.joinable
             else None
@@ -393,10 +360,6 @@ class SketchStore:
         return directory
 
     def _write_contents(self, directory: Path) -> None:
-        # Snapshots must capture fully-merged state: drain every worker
-        # pool (strictly — a poisoned pool must fail the checkpoint, not
-        # persist half a batch) before any sketch is encoded.
-        self.drain_workers(strict=True)
         manifest = {
             "format": "repro-store",
             "version": 1,

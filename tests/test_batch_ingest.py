@@ -44,18 +44,12 @@ from repro.streams.model import Stream
 
 # Memoization caches (hash families) and weakref plumbing are not sketch
 # state: the scalar path warms per-item caches the vectorized path never
-# touches, by design.  Worker-pool bookkeeping is execution plumbing the
-# parallel equality tests compare around (the pool itself holds no
-# sketch state once drained).
+# touches, by design.
 _NON_STATE_ATTRS = {
     "_cache",
     "__weakref__",
-    "_workers",
-    "_pool",
-    "_pool_stale",
-    "_pool_broken",
-    # The update-buffer tier is execution plumbing like the pool: a
-    # flushed buffer holds no sketch state, only lifetime counters the
+    # The update-buffer tier is execution plumbing: a flushed buffer
+    # holds no sketch state, only lifetime counters the
     # buffered/unbuffered equality tests compare around.
     "_buffer",
     "_buffer_flushing",

@@ -231,7 +231,7 @@ def test_serialization_flushes_the_buffer(mode):
         sketch.update(t % 5, count=1, time=t)
     assert len(sketch._buffer) > 0
     clone = pickle.loads(pickle.dumps(sketch))
-    assert len(sketch._buffer) == 0  # __getstate__ drained it
+    assert len(sketch._buffer) == 0  # __getstate__ flushed it
     assert clone.point(3) == sketch.point(3)
 
 

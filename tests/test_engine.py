@@ -1,4 +1,4 @@
-"""Tests for the vectorized bulk-ingest engine."""
+"""Tests for the columnar batch-ingest plan and vectorized hashing."""
 
 import time
 
@@ -9,7 +9,7 @@ from repro.core.historical_countmin import HistoricalCountMin
 from repro.core.persistent_ams import PersistentAMS
 from repro.core.persistent_countmin import PersistentCountMin, PWCCountMin
 from repro.core.pwc_ams import PWCAMS
-from repro.engine import batch_hash_columns, batch_ingest
+from repro.engine.frozen import batch_hash_columns
 from repro.streams.generators import turnstile_stream, zipf_stream
 from repro.streams.truth import GroundTruth
 
@@ -17,6 +17,11 @@ from repro.streams.truth import GroundTruth
 @pytest.fixture(scope="module")
 def stream():
     return zipf_stream(5000, universe=2**16, exponent=1.8, seed=141)
+
+
+def ingest_columns(sketch, stream):
+    """The columnar path: the whole stream as one ``ingest_batch``."""
+    sketch.ingest_batch(stream.times, stream.items, stream.counts)
 
 
 def scalar_ingest(sketch, stream):
@@ -55,7 +60,7 @@ class TestDeterministicEquivalence:
         sequential = factory()
         scalar_ingest(sequential, stream)
         batched = factory()
-        batch_ingest(batched, stream)
+        ingest_columns(batched, stream)
         assert batched.now == sequential.now
         assert batched.total == sequential.total
         assert batched._counters == sequential._counters
@@ -70,7 +75,7 @@ class TestDeterministicEquivalence:
         sequential = PersistentCountMin(width=256, depth=3, delta=5, seed=1)
         batched = PersistentCountMin(width=256, depth=3, delta=5, seed=1)
         scalar_ingest(sequential, stream)
-        batch_ingest(batched, stream)
+        ingest_columns(batched, stream)
         assert batched._counters == sequential._counters
         assert batched.persistence_words() == sequential.persistence_words()
 
@@ -90,7 +95,7 @@ class TestSampleEquivalence:
         sequential = PersistentAMS(width=512, depth=5, delta=10, seed=2)
         scalar_ingest(sequential, stream)
         batched = PersistentAMS(width=512, depth=5, delta=10, seed=2)
-        batch_ingest(batched, stream)
+        ingest_columns(batched, stream)
         assert batched._components == sequential._components
         assert batched.now == sequential.now
         assert batched._rng.getstate() == sequential._rng.getstate()
@@ -104,8 +109,8 @@ class TestSampleEquivalence:
     def test_deterministic_given_seed(self, stream):
         a = PersistentAMS(width=128, depth=3, delta=8, seed=4, sampling_seed=7)
         b = PersistentAMS(width=128, depth=3, delta=8, seed=4, sampling_seed=7)
-        batch_ingest(a, stream)
-        batch_ingest(b, stream)
+        ingest_columns(a, stream)
+        ingest_columns(b, stream)
         assert a.persistence_words() == b.persistence_words()
         assert a.self_join_size(0, 5000) == b.self_join_size(0, 5000)
 
@@ -113,14 +118,14 @@ class TestSampleEquivalence:
 class TestEdgesAndFallback:
     def test_empty_stream(self):
         sketch = PersistentCountMin(width=16, depth=2, delta=4)
-        batch_ingest(sketch, zipf_stream(0))
+        ingest_columns(sketch, zipf_stream(0))
         assert sketch.now == 0
 
     def test_clock_conflict_rejected(self, stream):
         sketch = PersistentCountMin(width=16, depth=2, delta=4)
-        batch_ingest(sketch, stream)
+        ingest_columns(sketch, stream)
         with pytest.raises(ValueError):
-            batch_ingest(sketch, stream)  # same times again
+            ingest_columns(sketch, stream)  # same times again
 
     def test_sequential_then_batch(self, stream):
         sketch = PersistentCountMin(width=256, depth=3, delta=8, seed=1)
@@ -131,7 +136,7 @@ class TestEdgesAndFallback:
         rest = Stream(
             stream.items[half:], stream.times[half:], stream.counts[half:]
         )
-        batch_ingest(sketch, rest)
+        ingest_columns(sketch, rest)
         reference = PersistentCountMin(width=256, depth=3, delta=8, seed=1)
         scalar_ingest(reference, stream)
         assert sketch._counters == reference._counters
@@ -139,7 +144,7 @@ class TestEdgesAndFallback:
 
     def test_historical_sketch_batch(self, stream):
         sketch = HistoricalCountMin(width=128, depth=3, eps=0.05, seed=1)
-        batch_ingest(sketch, stream.prefix(500))
+        ingest_columns(sketch, stream.prefix(500))
         assert sketch.now == 500
         reference = HistoricalCountMin(width=128, depth=3, eps=0.05, seed=1)
         scalar_ingest(reference, stream.prefix(500))
@@ -151,7 +156,7 @@ class TestShuffledFeedContracts:
     """Satellite: a mis-ordered feed must be rejected on *both* ingest
     paths.  The batch path is the dangerous one — it records sampled-AMS
     offers via ``force_sample``, which deliberately bypasses the
-    ``@monotone_timestamps`` contract — so ``batch_ingest`` has to
+    ``@monotone_timestamps`` contract — so ``ingest_batch`` has to
     reject a shuffled feed before any state is touched."""
 
     def _shuffled(self, n=500, seed=3):
@@ -175,7 +180,7 @@ class TestShuffledFeedContracts:
 
         sketch = factory()
         with pytest.raises(ContractViolation, match="strictly increasing"):
-            batch_ingest(sketch, self._shuffled())
+            ingest_columns(sketch, self._shuffled())
         assert sketch.now == 0  # nothing ingested
 
     @pytest.mark.parametrize(
@@ -210,7 +215,7 @@ class TestSpeed:
 
         start = time.perf_counter()
         batched = PersistentAMS(width=1024, depth=5, delta=20, seed=3)
-        batch_ingest(batched, stream)
+        ingest_columns(batched, stream)
         batch_time = time.perf_counter() - start
 
         assert batched._components == sequential._components

@@ -9,6 +9,8 @@ must be counted by exactly one side (no double-count, no drop).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.io import SerializationError
@@ -327,3 +329,23 @@ class TestDegradedServing:
             serving.point("urls", 1)
         with pytest.raises(DegradedError):
             serving.point_many("urls", [1, 2])
+
+
+class TestPointManyScaling:
+    def test_frozen_routable_batch_is_linear(self, served):
+        # Splitting a batch into frozen and live probes must be one pass:
+        # 20,000 frozen-routable probes finish well inside the bound,
+        # where a per-probe rebuild of the frozen index set takes
+        # seconds on its own.
+        serving, _records = served
+        fc = serving.view().clock("urls")
+        n = 20_000
+        items = [i % UNIVERSE for i in range(n)]
+        start = time.perf_counter()
+        answers = serving.point_many("urls", items, (0, fc))
+        elapsed = time.perf_counter() - start
+        assert len(answers) == n
+        assert answers[:UNIVERSE] == serving.point_many(
+            "urls", items[:UNIVERSE], (0, fc), mode="frozen"
+        )
+        assert elapsed < 2.0, f"{n} frozen probes took {elapsed:.2f} s"

@@ -1,35 +1,29 @@
-"""Shared-memory substrate: codec, lifecycle, pool transport, leaks.
+"""Shared-memory substrate: codec, lifecycle, shared views, leaks.
 
-Three layers under test.  First the :mod:`repro.shm` primitive itself —
+Two layers under test.  First the :mod:`repro.shm` primitive itself —
 header validation, zero-copy reconstruction, owner/attacher lifecycle,
 POSIX valid-until-last-detach semantics, and the ``/dev/shm`` leak
-audit.  Second the :class:`~repro.parallel.WorkerPool` shm transport:
-feeds and collects over segments must be bit-identical to the in-band
-pipe protocol, and every segment must be gone once the batch (or the
-pool) is done — including when workers are SIGKILL'd mid-stream.  Third
-the cross-process sweep that extends PR 7's self-healing to the shm
-lifecycle: a dead worker's segments are reaped by name, and the inline
-serial fallback releases them before replaying.
+audit.  Second the shared frozen views built on it: published, attached,
+recovered into, and served by query workers, bit-equal to the
+in-process view and leak-free.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
 
 from repro import shm
-from repro.parallel import WorkerPool, fork_available, pool_faults
+from repro.parallel import fork_available
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
 )
 
 needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="worker pools require os.fork"
+    not fork_available(), reason="query workers require os.fork"
 )
 
 
@@ -95,7 +89,7 @@ def test_header_rejects_garbage_and_wrong_version():
 
 
 # --------------------------------------------------------------------- #
-# Lifecycle: ownership, adoption, POSIX detach semantics
+# Lifecycle: ownership, POSIX detach semantics
 # --------------------------------------------------------------------- #
 
 
@@ -123,183 +117,9 @@ def test_unlinked_segment_stays_valid_until_last_detach():
     assert attached.close() is True
 
 
-def test_adopt_transfers_unlink_authority():
-    segment = shm.write_object("handoff")
-    attached = shm.ShmSegment.attach(segment.name)
-    attached.adopt()
-    attached.unlink()  # adopted: unlink now allowed
-    attached.close()
-    segment.release()  # original owner's unlink is a no-op, not an error
-    assert_no_leaks()
-
-
-def test_reap_segment_and_pid_sweep():
-    segment = shm.write_object(np.arange(10))
-    name = segment.name
-    assert shm.reap_segment(name) is True
-    assert shm.reap_segment(name) is False  # already gone
-    segment.close()
-
-    a = shm.write_object("one")
-    b = shm.write_object("two")
-    reaped = shm.reap_pid_segments(os.getpid())
-    assert sorted(reaped) == sorted([a.name, b.name])
-    a.close()
-    b.close()
-    assert_no_leaks()
-
-
 def test_create_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         shm.ShmSegment.create(0)
-
-
-# --------------------------------------------------------------------- #
-# Pool transport: bit-equality and leak-freedom
-# --------------------------------------------------------------------- #
-
-
-class _SumHandler:
-    """Minimal pool handler: partition-local running sums."""
-
-    def __init__(self, index, nworkers):
-        self.index = index
-        self.nworkers = nworkers
-        self.total = np.zeros(4, dtype=np.float64)
-        self.batches = 0
-
-    def feed(self, payload):
-        values = payload["values"]
-        self.total += values[self.index :: self.nworkers].sum(axis=0)
-        self.batches += 1
-
-    def collect(self):
-        return {"total": self.total.copy(), "batches": self.batches}
-
-
-def _drive(pool, batches):
-    for values in batches:
-        pool.feed([{"values": values}] * pool.nworkers)
-    return pool.collect()
-
-
-def _random_batches(seed: int, n: int = 4) -> list[np.ndarray]:
-    # Pre-drawn on the master before any fork: the workers only ever
-    # see finished arrays, never generator state.
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=(50, 4)) for _ in range(n)]
-
-
-@needs_fork
-@pytest.mark.parametrize("width", (2, 3))
-def test_pool_shm_transport_matches_in_band(width):
-    batches = _random_batches(7)
-    results = {}
-    for label, use_shm in (("shm", True), ("pipe", False)):
-        pool = WorkerPool(width, _SumHandler, use_shm=use_shm)
-        assert pool.use_shm is use_shm
-        try:
-            results[label] = _drive(pool, batches)
-        finally:
-            pool.close()
-    for got, want in zip(results["shm"], results["pipe"]):
-        assert got["batches"] == want["batches"]
-        np.testing.assert_array_equal(got["total"], want["total"])
-    assert_no_leaks()
-
-
-@needs_fork
-def test_pool_feed_segments_released_immediately():
-    pool = WorkerPool(2, _SumHandler, use_shm=True)
-    try:
-        pool.feed([{"values": np.ones((8, 4))}] * 2)
-        # The batch is acked, so its segments are already unlinked even
-        # though collect() has not run yet.
-        assert_no_leaks()
-        pool.collect()
-    finally:
-        pool.close()
-    assert_no_leaks()
-
-
-@needs_fork
-def test_pool_broadcast_payload_shares_one_segment():
-    pool = WorkerPool(3, _SumHandler, use_shm=True)
-    try:
-        payload = {"values": np.ones((9, 4))}
-        segments = pool._publish_payloads([payload] * 3)
-        assert segments is not None
-        assert len({segment.name for segment in segments}) == 1
-        pool._release_segments(segments)
-    finally:
-        pool.close()
-    assert_no_leaks()
-
-
-@needs_fork
-def test_pool_heals_sigkilled_worker_without_leaking():
-    pool = WorkerPool(2, _SumHandler, use_shm=True, reply_deadline_s=30.0)
-    try:
-        batches = [np.full((20, 4), float(i)) for i in range(3)]
-        pool.feed([{"values": batches[0]}] * 2)
-        os.kill(pool.pids[0], signal.SIGKILL)
-        pool.feed([{"values": batches[1]}] * 2)  # heals: respawn + replay
-        pool.feed([{"values": batches[2]}] * 2)
-        healed = pool.collect()
-        assert pool.respawns >= 1
-    finally:
-        pool.close()
-    assert_no_leaks()
-
-    serial = _SumHandler(0, 1)
-    for values in batches:
-        serial.feed({"values": values})
-    merged = healed[0]["total"] + healed[1]["total"]
-    np.testing.assert_allclose(merged, serial.total)
-
-
-class _FaultPlanStub:
-    """Duck-typed pool fault plan: always fail respawns."""
-
-    pool_reply_deadline_s = 5.0
-
-    def pool_feed_actions(self):
-        return []
-
-    def pool_respawn_should_fail(self):
-        return True
-
-
-@needs_fork
-def test_inline_fallback_releases_dead_worker_segments():
-    pool = WorkerPool(2, _SumHandler, use_shm=True, max_respawns=1)
-    try:
-        pool.feed([{"values": np.ones((5, 4))}] * 2)
-        victim = pool.pids[1]
-        with pool_faults(_FaultPlanStub()):
-            os.kill(victim, signal.SIGKILL)
-            pool.feed([{"values": np.ones((5, 4))}] * 2)
-        assert pool.inline_workers == [1]
-        assert pool.serial_fallbacks == 1
-        # Satellite contract: nothing owned by the dead worker survives
-        # the degrade to inline, and the feed segments are gone too.
-        assert shm.leaked_segments(f"{shm.NAME_PREFIX}-{victim}-") == []
-        assert_no_leaks()
-        states = pool.collect()
-        assert states[0]["batches"] == states[1]["batches"] == 2
-    finally:
-        pool.close()
-    assert_no_leaks()
-
-
-@needs_fork
-def test_pool_close_sweeps_everything():
-    pool = WorkerPool(2, _SumHandler, use_shm=True)
-    pool.feed([{"values": np.ones((5, 4))}] * 2)
-    pool.collect()
-    pool.feed([{"values": np.ones((5, 4))}] * 2)
-    pool.close(terminate=True)
-    assert_no_leaks()
 
 
 # --------------------------------------------------------------------- #

@@ -1211,7 +1211,7 @@ def test_sl018_flush_may_sit_anywhere_on_the_path():
 
         class MySketch(PersistentSketch):
             def _counter_at(self, item, t):
-                self.detach_workers()
+                self.flush_buffer()
                 return self._trackers[item].value_at(t)
 
             def point(self, item, t):

@@ -218,3 +218,44 @@ class TestAtomicSave:
 
         with pytest.raises(SerializationError):
             SketchStore.open(tmp_path / "never-existed")
+
+
+_JOIN_SCRIPT = """
+import json
+from repro.store import SketchStore, StreamSpec
+from repro.streams.generators import zipf_stream
+
+store = SketchStore(width=256, depth=3, join_width=256, seed=5)
+store.create(StreamSpec(name="clients", delta=8, joinable=True))
+stream = zipf_stream(2000, universe=500, exponent=1.2, seed=7)
+store.update_batch("clients", stream.times, stream.items, stream.counts)
+print(json.dumps([
+    store.self_join_size("clients"),
+    store._state("clients").join_sketch.persistence_words(),
+]))
+"""
+
+
+def test_joinable_answers_do_not_depend_on_the_hash_seed():
+    # The joinable AMS sampler is seeded from the stream name; the seed
+    # must come from a stable digest, not the per-process salted hash().
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    answers = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _JOIN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        answers.append(json.loads(out.stdout))
+    assert answers[0] == answers[1]
